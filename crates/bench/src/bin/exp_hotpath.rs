@@ -14,7 +14,7 @@
 //! moving the same eight jobs), **queue_scan** (a pop+push sift cycle
 //! at n = 8192 on the struct-of-arrays `ReadyQueue` against the frozen
 //! inline-payload PR 4 layout) and **handoff** (a short-job burst
-//! drained on real `ShardedRuntime` threads, stealing off vs on).
+//! drained on real sharded-dispatch `Runtime` threads, stealing off vs on).
 //!
 //! The committed `BENCH_PR5.json` / `BENCH_PR8.json` / `BENCH_PR9.json`
 //! are historical records now: this binary no longer rewrites them, and

@@ -1047,7 +1047,7 @@ mod inline_ref {
 /// batch-steal probe runs ([`ReadyQueue::scan_in_order`] over the top
 /// `2 × MAX_STEAL_BATCH` jobs) — at high occupancy, on the live
 /// struct-of-arrays [`ReadyQueue`] against the frozen inline-payload
-/// [`inline_ref`] layout it replaced. The random re-priority makes
+/// `inline_ref` layout it replaced. The random re-priority makes
 /// every cycle sift through a different heap path instead of
 /// re-walking one cache-hot root chain; both sides consume the
 /// identical priority stream and run the identical operation sequence
@@ -1145,7 +1145,8 @@ pub fn run_queue_scan(n: usize, iters: u32, warmup: u32) -> QueueScanReport {
 }
 
 /// The real-thread hand-off measurement (PR 10): a burst of short jobs
-/// lands on worker 0's shard of a running [`ShardedRuntime`] while
+/// lands on worker 0's group of a running sharded-dispatch
+/// [`yasmin_rt::Runtime`] while
 /// worker 1 idles; the wall-clock drain time with work stealing on is
 /// recorded against the same burst with stealing off (victim drains
 /// alone). Real scheduler threads, real mailbox lanes, real batch
@@ -1167,6 +1168,122 @@ pub struct HandoffReport {
     pub stolen_batch: u64,
 }
 
+/// One hand-off burst: `jobs` aperiodic jobs of `spin_us` each land on
+/// worker 0 while worker 1 idles; returns the wall-clock drain time and
+/// the stolen / stolen-batch counts. With `hold_victim`, the first
+/// burst job on worker 0 waits until a burst job has started on worker
+/// 1, so the victim cannot drain the burst alone before the thief's
+/// probe lands: the steal then happens on every host, however the
+/// threads are scheduled.
+///
+/// # Panics
+///
+/// Panics on runtime construction failure or a burst that fails to
+/// drain within two seconds; a held victim job panics (and fails) when
+/// no burst job starts on worker 1 within two seconds.
+fn handoff_once(jobs: usize, spin_us: u64, stealing: bool, hold_victim: bool) -> (u64, u64, u64) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use yasmin_core::task::TaskSpec;
+    use yasmin_rt::RuntimeBuilder;
+
+    let mut b = yasmin_core::graph::TaskSetBuilder::new();
+    let light = b
+        .task_decl(
+            TaskSpec::periodic("light", Duration::from_millis(5)).on_worker(WorkerId::new(1)),
+        )
+        .unwrap();
+    let vl = b
+        .version_decl(
+            light,
+            yasmin_core::version::VersionSpec::new("v", Duration::from_micros(50)),
+        )
+        .unwrap();
+    let mut burst = Vec::with_capacity(jobs);
+    for i in 0..jobs {
+        let t = b
+            .task_decl(TaskSpec::aperiodic(format!("h{i}")).on_worker(WorkerId::new(0)))
+            .unwrap();
+        let v = b
+            .version_decl(
+                t,
+                yasmin_core::version::VersionSpec::new("v", Duration::from_millis(2)),
+            )
+            .unwrap();
+        burst.push((t, v));
+    }
+    let ts = std::sync::Arc::new(b.build().unwrap());
+    let config = Config::builder()
+        .workers(2)
+        .mapping(MappingScheme::Partitioned)
+        .sharded_dispatch(true)
+        .priority(PriorityPolicy::EarliestDeadlineFirst)
+        .preemption(false)
+        .max_pending_jobs(jobs + 8)
+        .build()
+        .unwrap();
+    let done = std::sync::Arc::new(AtomicUsize::new(0));
+    // Whether the first worker-0 burst job has claimed the hold, and
+    // whether any burst job has started on worker 1.
+    let held = std::sync::Arc::new(AtomicBool::new(false));
+    let thief_started = std::sync::Arc::new(AtomicBool::new(false));
+    let mut builder = RuntimeBuilder::new(ts, config)
+        .work_stealing(stealing)
+        .body(light, vl, |_| {});
+    let spin = std::time::Duration::from_micros(spin_us);
+    for &(t, v) in &burst {
+        let d = std::sync::Arc::clone(&done);
+        let (held, thief_started) = (
+            std::sync::Arc::clone(&held),
+            std::sync::Arc::clone(&thief_started),
+        );
+        builder = builder.body(t, v, move |ctx| {
+            if hold_victim {
+                if ctx.worker == WorkerId::new(1) {
+                    thief_started.store(true, Ordering::Release);
+                } else if !held.swap(true, Ordering::AcqRel) {
+                    let t0 = WallInstant::now();
+                    while !thief_started.load(Ordering::Acquire) {
+                        assert!(
+                            t0.elapsed() < std::time::Duration::from_secs(2),
+                            "no burst job started on worker 1 within two seconds"
+                        );
+                        std::thread::yield_now();
+                    }
+                }
+            }
+            let t0 = WallInstant::now();
+            while t0.elapsed() < spin {
+                std::hint::spin_loop();
+            }
+            d.fetch_add(1, Ordering::Release);
+        });
+    }
+    let rt = builder.build().expect("valid sharded-dispatch runtime");
+    // Let the scheduler threads settle before the burst lands.
+    std::thread::sleep(std::time::Duration::from_millis(5));
+    let t0 = WallInstant::now();
+    for &(t, _) in &burst {
+        rt.activate(t).expect("activation accepted");
+    }
+    while done.load(Ordering::Acquire) < jobs {
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(2),
+            "hand-off burst failed to drain"
+        );
+        // Yield the core to the scheduler/worker threads; a hard
+        // spin here starves them on small or loaded hosts.
+        std::thread::yield_now();
+    }
+    let wall = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    rt.stop();
+    let report = rt.cleanup();
+    (
+        wall,
+        report.engine_stats.stolen,
+        report.engine_stats.stolen_batch,
+    )
+}
+
 /// Runs the hand-off burst on real threads, stealing off then on
 /// (best of `tries` runs each).
 ///
@@ -1176,91 +1293,10 @@ pub struct HandoffReport {
 /// drain within two seconds (a scheduler bug, not host noise).
 #[must_use]
 pub fn run_handoff(jobs: usize, spin_us: u64, tries: u32) -> HandoffReport {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use yasmin_core::task::TaskSpec;
-    use yasmin_rt::sharded::ShardedRuntimeBuilder;
-
-    let run_once = |stealing: bool| -> (u64, u64, u64) {
-        let mut b = yasmin_core::graph::TaskSetBuilder::new();
-        let light = b
-            .task_decl(
-                TaskSpec::periodic("light", Duration::from_millis(5)).on_worker(WorkerId::new(1)),
-            )
-            .unwrap();
-        let vl = b
-            .version_decl(
-                light,
-                yasmin_core::version::VersionSpec::new("v", Duration::from_micros(50)),
-            )
-            .unwrap();
-        let mut burst = Vec::with_capacity(jobs);
-        for i in 0..jobs {
-            let t = b
-                .task_decl(TaskSpec::aperiodic(format!("h{i}")).on_worker(WorkerId::new(0)))
-                .unwrap();
-            let v = b
-                .version_decl(
-                    t,
-                    yasmin_core::version::VersionSpec::new("v", Duration::from_millis(2)),
-                )
-                .unwrap();
-            burst.push((t, v));
-        }
-        let ts = std::sync::Arc::new(b.build().unwrap());
-        let config = Config::builder()
-            .workers(2)
-            .mapping(MappingScheme::Partitioned)
-            .sharded_dispatch(true)
-            .priority(PriorityPolicy::EarliestDeadlineFirst)
-            .preemption(false)
-            .max_pending_jobs(jobs + 8)
-            .build()
-            .unwrap();
-        let done = std::sync::Arc::new(AtomicUsize::new(0));
-        let mut builder = ShardedRuntimeBuilder::new(ts, config)
-            .work_stealing(stealing)
-            .body(light, vl, |_| {});
-        let spin = std::time::Duration::from_micros(spin_us);
-        for &(t, v) in &burst {
-            let d = std::sync::Arc::clone(&done);
-            builder = builder.body(t, v, move |_| {
-                let t0 = WallInstant::now();
-                while t0.elapsed() < spin {
-                    std::hint::spin_loop();
-                }
-                d.fetch_add(1, Ordering::Release);
-            });
-        }
-        let rt = builder.build().expect("valid sharded runtime");
-        // Let the scheduler threads settle before the burst lands.
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        let t0 = WallInstant::now();
-        for &(t, _) in &burst {
-            rt.activate(t).expect("activation accepted");
-        }
-        while done.load(Ordering::Acquire) < jobs {
-            assert!(
-                t0.elapsed() < std::time::Duration::from_secs(2),
-                "hand-off burst failed to drain"
-            );
-            // Yield the core to the scheduler/worker threads; a hard
-            // spin here starves them on small or loaded hosts.
-            std::thread::yield_now();
-        }
-        let wall = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        rt.stop();
-        let report = rt.cleanup();
-        (
-            wall,
-            report.engine_stats.stolen,
-            report.engine_stats.stolen_batch,
-        )
-    };
-
     let best = |stealing: bool| -> (u64, u64, u64) {
-        let mut best = run_once(stealing);
+        let mut best = handoff_once(jobs, spin_us, stealing, false);
         for _ in 1..tries {
-            let r = run_once(stealing);
+            let r = handoff_once(jobs, spin_us, stealing, false);
             if r.0 < best.0 {
                 best = r;
             }
@@ -1455,7 +1491,7 @@ pub fn run_msg(iters: u32, warmup: u32) -> MsgReport {
     use yasmin_core::version::VersionSpec;
     use yasmin_sched::msg::{ChannelBuilder, MsgEvent};
 
-    // A notify hook that feeds a mailbox lane, as both runtimes wire it.
+    // A notify hook that feeds a mailbox lane, as the runtime wires it.
     let feed_hook = |mut lanes: Vec<MailboxSender<MsgEvent>>| {
         let feed = Mutex::new(lanes.pop().expect("one lane requested"));
         std::sync::Arc::new(move |ev: MsgEvent| {
@@ -2333,7 +2369,19 @@ mod tests {
 
     #[test]
     fn handoff_burst_drains_on_real_threads() {
-        let r = run_handoff(6, 50, 1);
+        // The stealing run holds the victim's first burst job until the
+        // thief has started one, so the steal cannot lose the race
+        // against the victim draining its 300 us burst alone.
+        let (local_wall_ns, _, _) = handoff_once(6, 50, false, false);
+        let (steal_wall_ns, stolen, stolen_batch) = handoff_once(6, 50, true, true);
+        let r = HandoffReport {
+            jobs: 6,
+            spin_us: 50,
+            local_wall_ns,
+            steal_wall_ns,
+            stolen,
+            stolen_batch,
+        };
         assert_eq!(r.jobs, 6);
         assert!(r.local_wall_ns > 0);
         assert!(r.steal_wall_ns > 0);

@@ -69,9 +69,10 @@
 //! * **Spliced** — every engine (the single [`OnlineEngine`], or each
 //!   [`EngineShard`](crate::shard::EngineShard)) adopted the merged set
 //!   via [`OnlineEngine::splice_taskset`] with the tenant's releases
-//!   still disarmed. In the sharded runtime the splice command travels
-//!   the same per-shard control mailbox lane as every other command, so
-//!   it serialises with the hot path instead of locking it.
+//!   still disarmed. In the thread runtime the splice command travels
+//!   the same control mailbox lane of each scheduler thread as every
+//!   other command, so it serialises with the hot path instead of
+//!   locking it.
 //! * **Committed** — [`OnlineEngine::commit_tenant_into`] armed the
 //!   tenant's periodic roots. Two-phase matters under sharding: commit
 //!   is sent only after *every* shard acknowledged its splice, so no

@@ -14,7 +14,7 @@
 //! |---|---|
 //! | [`core`] | task model, versions, graphs, config, platforms, time |
 //! | [`sched`] | the scheduling engine (online G/P, offline tables, version selection, PIP, typed priority message plane) |
-//! | [`rt`] | real-thread runtime (scheduler thread + pinned workers) |
+//! | [`rt`] | real-thread runtime (scheduler threads over groups of pinned workers) |
 //! | [`sim`] | discrete-event simulator (heterogeneous platforms, kernel latency models) |
 //! | [`sync`] | MCS/ticket locks, PIP mutex, barriers, SPSC rings, wait strategies |
 //! | [`taskgen`] | DRS/UUniFast generators, DAGs, the drone SAR workload |
@@ -25,7 +25,10 @@
 //! ## Quick start
 //!
 //! Declare tasks (the paper's Table 1 API, rustified), build a runtime,
-//! run:
+//! run. There is one runtime; its `Config` picks the scheduler groups —
+//! here one scheduler thread over all workers (global mapping), while
+//! `.mapping(MappingScheme::Partitioned).sharded_dispatch(true)` gives
+//! every worker a scheduler thread of its own:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -86,9 +89,7 @@ pub mod prelude {
     pub use yasmin_core::task::{ActivationKind, DeadlineKind, OverrunPolicy, TaskSpec};
     pub use yasmin_core::time::{Duration, Instant};
     pub use yasmin_core::version::{ExecMode, ModeMask, PermMask, VersionProps, VersionSpec};
-    pub use yasmin_rt::{
-        JobCtx, Runtime, RuntimeBuilder, ShardedRuntime, ShardedRuntimeBuilder, TaskBody,
-    };
+    pub use yasmin_rt::{JobCtx, Runtime, RuntimeBuilder, TaskBody};
     pub use yasmin_sched::{
         AdmissionControl, AdmissionError, BoundViolation, ChannelBuilder, JobOutcome, MsgEvent,
         MsgNotify, NotifyHandle, OnlineEngine, Receiver, ScheduleTable, SendError, Sender,
