@@ -1,9 +1,7 @@
 //! Criterion benchmark for the zero-allocation dispatch hot path: the
-//! same steady-state engine interaction measured through the legacy
-//! `Vec`-returning API (one allocation per call) and through the
-//! reusable-sink `*_into` API (allocation-free after warm-up). The gap
-//! between the two series is the allocator's share of the scheduler
-//! overhead the paper's Figure 2 reports.
+//! steady-state scheduler tick measured through the reusable-sink
+//! `*_into` API (allocation-free after warm-up) — the per-interaction
+//! scheduler overhead the paper's Figure 2 reports.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
@@ -30,29 +28,6 @@ fn engine_for(n: usize) -> OnlineEngine {
     OnlineEngine::new(Arc::new(ts), config).expect("valid engine")
 }
 
-// This series exists to measure the deprecated Vec-returning API
-// against the sink API, so it calls the legacy path on purpose.
-#[allow(deprecated)]
-fn bench_tick_vec(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hotpath/on_tick_vec");
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_millis(1500));
-    for n in [20usize, 120] {
-        group.bench_function(format!("n{n}"), |b| {
-            let mut engine = engine_for(n);
-            let _ = engine.start(Instant::ZERO).expect("starts");
-            let mut now = Instant::ZERO;
-            let tick = engine.tick_period();
-            b.iter(|| {
-                now += tick;
-                std::hint::black_box(engine.on_tick(now));
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_tick_sink(c: &mut Criterion) {
     let mut group = c.benchmark_group("hotpath/on_tick_sink");
     group.sample_size(20);
@@ -76,5 +51,5 @@ fn bench_tick_sink(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tick_vec, bench_tick_sink);
+criterion_group!(benches, bench_tick_sink);
 criterion_main!(benches);

@@ -761,25 +761,8 @@ impl OnlineEngine {
     }
 
     /// Starts the schedule at `now` (the paper's `yas_start`): arms the
-    /// periodic release bookkeeping and performs the first release round.
-    ///
-    /// Allocating wrapper over [`OnlineEngine::start_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ScheduleRunning`] if already started.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use start_into with a reusable ActionSink"
-    )]
-    pub fn start(&mut self, now: Instant) -> Result<Vec<Action>> {
-        let mut sink = ActionSink::new();
-        self.start_into(now, &mut sink)?;
-        Ok(sink.into_vec())
-    }
-
-    /// [`OnlineEngine::start`], appending the resulting actions to a
-    /// caller-owned reusable sink instead of allocating a `Vec`.
+    /// periodic release bookkeeping and performs the first release round,
+    /// appending the resulting actions to a caller-owned reusable sink.
     ///
     /// # Errors
     ///
@@ -1152,22 +1135,10 @@ impl OnlineEngine {
     }
 
     /// One scheduler-thread activation at time `now`: releases every
-    /// periodic job due by `now`, then dispatches/preempts.
-    ///
-    /// Allocating wrapper over [`OnlineEngine::on_tick_into`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use on_tick_into with a reusable ActionSink"
-    )]
-    pub fn on_tick(&mut self, now: Instant) -> Vec<Action> {
-        let mut sink = ActionSink::new();
-        self.on_tick_into(now, &mut sink);
-        sink.into_vec()
-    }
-
-    /// [`OnlineEngine::on_tick`], appending the resulting actions to a
-    /// caller-owned reusable sink. With a warmed-up sink this path
-    /// performs no heap allocation in steady state.
+    /// periodic job due by `now`, then dispatches/preempts, appending the
+    /// resulting actions to a caller-owned reusable sink. With a
+    /// warmed-up sink this path performs no heap allocation in steady
+    /// state.
     pub fn on_tick_into(&mut self, now: Instant, sink: &mut ActionSink) {
         if now >= self.next_wake {
             let mut wake = Instant::MAX;
@@ -1331,26 +1302,8 @@ impl OnlineEngine {
     }
 
     /// Explicit activation (the paper's `yas_task_activate`): sporadic
-    /// arrivals and user-triggered aperiodic jobs.
-    ///
-    /// Allocating wrapper over [`OnlineEngine::activate_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownTask`]; [`Error::InvalidConfig`] for periodic tasks
-    /// (those are released by the scheduler itself).
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use activate_into with a reusable ActionSink"
-    )]
-    pub fn activate(&mut self, task: TaskId, now: Instant) -> Result<Vec<Action>> {
-        let mut sink = ActionSink::new();
-        self.activate_into(task, now, &mut sink)?;
-        Ok(sink.into_vec())
-    }
-
-    /// [`OnlineEngine::activate`], appending the resulting actions to a
-    /// caller-owned reusable sink.
+    /// arrivals and user-triggered aperiodic jobs, appending the
+    /// resulting actions to a caller-owned reusable sink.
     ///
     /// # Errors
     ///
@@ -1393,32 +1346,9 @@ impl OnlineEngine {
 
     /// Notification that `job` finished on `worker` at `now`. Frees the
     /// worker and any held accelerator, fires DAG successors, then
-    /// dispatches.
-    ///
-    /// Allocating wrapper over [`OnlineEngine::on_job_completed_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidConfig`] if `worker` is not running `job` — a
-    /// driver protocol violation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use on_job_completed_into with a reusable ActionSink"
-    )]
-    pub fn on_job_completed(
-        &mut self,
-        worker: WorkerId,
-        job: JobId,
-        now: Instant,
-    ) -> Result<Vec<Action>> {
-        let mut sink = ActionSink::new();
-        self.on_job_completed_into(worker, job, now, &mut sink)?;
-        Ok(sink.into_vec())
-    }
-
-    /// [`OnlineEngine::on_job_completed`], appending the resulting
-    /// actions to a caller-owned reusable sink. With a warmed-up sink
-    /// this path performs no heap allocation in steady state.
+    /// dispatches, appending the resulting actions to a caller-owned
+    /// reusable sink. With a warmed-up sink this path performs no heap
+    /// allocation in steady state.
     ///
     /// # Errors
     ///
@@ -1444,8 +1374,6 @@ impl OnlineEngine {
     /// simulator retiring same-timestamp finishes), this amortises the
     /// dispatch round across the burst and lets the round see the whole
     /// burst's released successors before placing jobs on workers.
-    ///
-    /// Allocating wrapper: [`OnlineEngine::on_jobs_completed`].
     ///
     /// # Errors
     ///
@@ -1477,26 +1405,6 @@ impl OnlineEngine {
             Some(e) => Err(e),
             None => Ok(()),
         }
-    }
-
-    /// [`OnlineEngine::on_jobs_completed_into`], returning a fresh
-    /// `Vec` instead of appending to a caller-owned sink.
-    ///
-    /// # Errors
-    ///
-    /// As [`OnlineEngine::on_jobs_completed_into`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "allocates a fresh Vec per call; use on_jobs_completed_into with a reusable ActionSink"
-    )]
-    pub fn on_jobs_completed(
-        &mut self,
-        completions: &[(WorkerId, JobId)],
-        now: Instant,
-    ) -> Result<Vec<Action>> {
-        let mut sink = ActionSink::new();
-        let res = self.on_jobs_completed_into(completions, now, &mut sink);
-        res.map(|()| sink.into_vec())
     }
 
     /// One coalesced engine round: retires every `(worker, job)`
@@ -2527,14 +2435,18 @@ impl OnlineEngine {
 
 #[cfg(test)]
 mod tests {
-    // The deprecated Vec-returning wrappers stay exercised here until
-    // they are removed outright.
-    #![allow(deprecated)]
-
     use super::*;
     use yasmin_core::config::VersionPolicy;
     use yasmin_core::task::TaskSpec;
     use yasmin_core::version::VersionSpec;
+
+    /// Runs one `*_into` engine call against a fresh sink and returns
+    /// the actions it emitted, or its error.
+    fn actions_of(f: impl FnOnce(&mut ActionSink) -> Result<()>) -> Result<Vec<Action>> {
+        let mut sink = ActionSink::new();
+        f(&mut sink)?;
+        Ok(sink.as_slice().to_vec())
+    }
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
@@ -2570,7 +2482,7 @@ mod tests {
     #[test]
     fn start_releases_and_dispatches_by_deadline_order() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
-        let actions = e.start(Instant::ZERO).unwrap();
+        let actions = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         // Both release at 0; EDF picks the 10ms-deadline task first on the
         // single worker.
         assert_eq!(actions.len(), 1);
@@ -2589,12 +2501,13 @@ mod tests {
     #[test]
     fn completion_dispatches_next() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
-        let a0 = e.start(Instant::ZERO).unwrap();
+        let a0 = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         let first = match &a0[0] {
             Action::Dispatch { job, .. } => job.id,
             _ => unreachable!(),
         };
-        let a1 = e.on_job_completed(WorkerId::new(0), first, at(2)).unwrap();
+        let a1 = actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), first, at(2), sink))
+            .unwrap();
         assert_eq!(a1.len(), 1);
         match &a1[0] {
             Action::Dispatch { job, .. } => assert_eq!(job.task, TaskId::new(1)),
@@ -2627,10 +2540,9 @@ mod tests {
         b.channel_connect(right, join, c4).unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         let fork_id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let _ = e
-            .on_job_completed(WorkerId::new(0), fork_id, at(1))
+        let _ = actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), fork_id, at(1), sink))
             .unwrap();
         let batch = [
             (
@@ -2642,7 +2554,7 @@ mod tests {
                 e.running(WorkerId::new(1)).unwrap().job.id,
             ),
         ];
-        let acts = e.on_jobs_completed(&batch, at(2)).unwrap();
+        let acts = actions_of(|sink| e.on_jobs_completed_into(&batch, at(2), sink)).unwrap();
         assert!(
             acts.iter()
                 .any(|a| matches!(a, Action::Dispatch { job, .. } if job.task == join)),
@@ -2654,13 +2566,13 @@ mod tests {
     #[test]
     fn batch_completion_error_keeps_retired_prefix() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         let good = e.running(WorkerId::new(0)).unwrap().job.id;
         let batch = [
             (WorkerId::new(0), good),
             (WorkerId::new(1), JobId::new(999)), // protocol violation
         ];
-        let err = e.on_jobs_completed(&batch, at(1));
+        let err = actions_of(|sink| e.on_jobs_completed_into(&batch, at(1), sink));
         assert!(err.is_err());
         // The valid prefix was retired (worker 0 freed, completion
         // counted); the offender's worker still runs its job.
@@ -2671,8 +2583,8 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let acts = e.on_jobs_completed(&[], at(1)).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
+        let acts = actions_of(|sink| e.on_jobs_completed_into(&[], at(1), sink)).unwrap();
         assert!(acts.is_empty());
         assert_eq!(e.stats().completed, 0);
     }
@@ -2680,26 +2592,40 @@ mod tests {
     #[test]
     fn wrong_completion_is_protocol_error() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        assert!(e
-            .on_job_completed(WorkerId::new(0), JobId::new(999), at(1))
-            .is_err());
-        assert!(e
-            .on_job_completed(WorkerId::new(1), JobId::new(0), at(1))
-            .is_err());
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
+        assert!(actions_of(|sink| e.on_job_completed_into(
+            WorkerId::new(0),
+            JobId::new(999),
+            at(1),
+            sink
+        ))
+        .is_err());
+        assert!(actions_of(|sink| e.on_job_completed_into(
+            WorkerId::new(1),
+            JobId::new(0),
+            at(1),
+            sink
+        ))
+        .is_err());
     }
 
     #[test]
     fn periodic_rereleases_on_tick() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         // Finish both first jobs.
         let r0 = e.running(WorkerId::new(0)).unwrap().job.id;
         let r1 = e.running(WorkerId::new(1)).unwrap().job.id;
-        let _ = e.on_job_completed(WorkerId::new(0), r0, at(2)).unwrap();
-        let _ = e.on_job_completed(WorkerId::new(1), r1, at(5)).unwrap();
+        let _ =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), r0, at(2), sink)).unwrap();
+        let _ =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(1), r1, at(5), sink)).unwrap();
         // Tick at 10ms: only task a (period 10) re-releases.
-        let acts = e.on_tick(at(10));
+        let acts = actions_of(|sink| {
+            e.on_tick_into(at(10), sink);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(acts.len(), 1);
         match &acts[0] {
             Action::Dispatch { job, .. } => {
@@ -2711,8 +2637,13 @@ mod tests {
         }
         // Tick at 20ms: task a again + task c.
         let r0 = e.running(WorkerId::new(0)).unwrap().job.id;
-        let _ = e.on_job_completed(WorkerId::new(0), r0, at(12)).unwrap();
-        let acts = e.on_tick(at(20));
+        let _ =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), r0, at(12), sink)).unwrap();
+        let acts = actions_of(|sink| {
+            e.on_tick_into(at(20), sink);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(acts.len(), 2);
         assert_eq!(e.stats().released, 5);
     }
@@ -2734,9 +2665,13 @@ mod tests {
         b.version_decl(fast, VersionSpec::new("f", ms(5))).unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(1)).unwrap();
-        let a0 = e.start(Instant::ZERO).unwrap();
+        let a0 = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         assert_eq!(a0.len(), 1); // slow dispatched
-        let acts = e.on_tick(at(10));
+        let acts = actions_of(|sink| {
+            e.on_tick_into(at(10), sink);
+            Ok(())
+        })
+        .unwrap();
         // fast (deadline 30ms) preempts slow (deadline 100ms).
         assert!(matches!(acts[0], Action::Preempt { .. }), "{acts:?}");
         match &acts[1] {
@@ -2748,9 +2683,9 @@ mod tests {
         assert_eq!(e.ready_len(), 1);
         // Completing fast resumes slow.
         let fast_id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let acts = e
-            .on_job_completed(WorkerId::new(0), fast_id, at(15))
-            .unwrap();
+        let acts =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), fast_id, at(15), sink))
+                .unwrap();
         match &acts[0] {
             Action::Dispatch { job, .. } => {
                 assert_eq!(job.task, slow);
@@ -2781,8 +2716,12 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let acts = e.on_tick(at(10));
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
+        let acts = actions_of(|sink| {
+            e.on_tick_into(at(10), sink);
+            Ok(())
+        })
+        .unwrap();
         assert!(acts.is_empty(), "{acts:?}");
         assert_eq!(e.stats().preempted, 0);
     }
@@ -2814,7 +2753,7 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let acts = e.start(Instant::ZERO).unwrap();
+        let acts = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         match &acts[0] {
             Action::Dispatch { worker, .. } => assert_eq!(*worker, WorkerId::new(1)),
             other => panic!("{other:?}"),
@@ -2842,11 +2781,11 @@ mod tests {
         b.channel_connect(right, join, c4).unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         let fork_id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let acts = e
-            .on_job_completed(WorkerId::new(0), fork_id, at(1))
-            .unwrap();
+        let acts =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), fork_id, at(1), sink))
+                .unwrap();
         // left and right both released and dispatched on the two workers.
         let dispatched: Vec<TaskId> = acts
             .iter()
@@ -2859,14 +2798,14 @@ mod tests {
         assert!(dispatched.contains(&left) && dispatched.contains(&right));
         // Join waits for both.
         let left_id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let acts = e
-            .on_job_completed(WorkerId::new(0), left_id, at(2))
-            .unwrap();
+        let acts =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), left_id, at(2), sink))
+                .unwrap();
         assert!(acts.is_empty(), "join must wait for right: {acts:?}");
         let right_id = e.running(WorkerId::new(1)).unwrap().job.id;
-        let acts = e
-            .on_job_completed(WorkerId::new(1), right_id, at(3))
-            .unwrap();
+        let acts =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(1), right_id, at(3), sink))
+                .unwrap();
         let join_dispatch = acts
             .iter()
             .any(|a| matches!(a, Action::Dispatch { job, .. } if job.task == join));
@@ -2894,7 +2833,7 @@ mod tests {
         b.version_decl(t2, VersionSpec::new("cpu", ms(30))).unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
-        let acts = e.start(Instant::ZERO).unwrap();
+        let acts = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         // t2 (tighter deadline) gets the GPU; t1 falls back to CPU.
         let mut gpu_user = None;
         let mut cpu_user = None;
@@ -2930,8 +2869,12 @@ mod tests {
             .unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let acts = e.on_tick(at(10));
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
+        let acts = actions_of(|sink| {
+            e.on_tick_into(at(10), sink);
+            Ok(())
+        })
+        .unwrap();
         // urgent is blocked on the GPU -> PIP boost of the holder.
         let boost = acts.iter().find_map(|a| match a {
             Action::Boost { priority, .. } => Some(*priority),
@@ -2948,9 +2891,9 @@ mod tests {
         );
         // When the holder finishes, urgent gets the GPU.
         let hold_id = holder.job.id;
-        let acts = e
-            .on_job_completed(WorkerId::new(0), hold_id, at(50))
-            .unwrap();
+        let acts =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), hold_id, at(50), sink))
+                .unwrap();
         assert!(acts.iter().any(|a| matches!(
             a,
             Action::Dispatch { job, .. } if job.task == urgent
@@ -2975,8 +2918,12 @@ mod tests {
             .unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let acts = e.on_tick(at(10));
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
+        let acts = actions_of(|sink| {
+            e.on_tick_into(at(10), sink);
+            Ok(())
+        })
+        .unwrap();
         // The only worker runs the GPU holder; urgent must NOT preempt it.
         assert!(
             !acts.iter().any(|a| matches!(a, Action::Preempt { .. })),
@@ -2994,14 +2941,14 @@ mod tests {
         b.version_decl(a, VersionSpec::new("a", ms(1))).unwrap();
         let ts = Arc::new(b.build().unwrap());
         let mut e = OnlineEngine::new(ts, edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let acts = e.activate(a, at(3)).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
+        let acts = actions_of(|sink| e.activate_into(a, at(3), sink)).unwrap();
         assert!(acts.iter().any(|x| matches!(
             x,
             Action::Dispatch { job, .. } if job.task == a
         )));
         // Periodic tasks cannot be activated by hand.
-        assert!(e.activate(p, at(4)).is_err());
+        assert!(actions_of(|sink| e.activate_into(p, at(4), sink)).is_err());
     }
 
     #[test]
@@ -3017,37 +2964,46 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        let _ = e.activate(s, at(0)).unwrap();
-        let _ = e.activate(s, at(5)).unwrap(); // violates T=10
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
+        let _ = actions_of(|sink| e.activate_into(s, at(0), sink)).unwrap();
+        let _ = actions_of(|sink| e.activate_into(s, at(5), sink)).unwrap(); // violates T=10
         assert_eq!(e.stats().sporadic_violations, 1);
-        let _ = e.activate(s, at(20)).unwrap();
+        let _ = actions_of(|sink| e.activate_into(s, at(20), sink)).unwrap();
         assert_eq!(e.stats().sporadic_violations, 1);
     }
 
     #[test]
     fn stop_drains() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         e.stop();
-        let acts = e.on_tick(at(10));
+        let acts = actions_of(|sink| {
+            e.on_tick_into(at(10), sink);
+            Ok(())
+        })
+        .unwrap();
         assert!(acts.is_empty(), "no releases after stop: {acts:?}");
         assert!(!e.is_idle());
         let r0 = e.running(WorkerId::new(0)).unwrap().job.id;
         let r1 = e.running(WorkerId::new(1)).unwrap().job.id;
-        let _ = e.on_job_completed(WorkerId::new(0), r0, at(11)).unwrap();
-        let _ = e.on_job_completed(WorkerId::new(1), r1, at(12)).unwrap();
+        let _ =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), r0, at(11), sink)).unwrap();
+        let _ =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(1), r1, at(12), sink)).unwrap();
         assert!(e.is_idle());
     }
 
     #[test]
     fn double_start_rejected_until_stop() {
         let mut e = OnlineEngine::new(two_task_set(), edf_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
-        assert!(matches!(e.start(at(1)), Err(Error::ScheduleRunning)));
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
+        assert!(matches!(
+            actions_of(|sink| e.start_into(at(1), sink)),
+            Err(Error::ScheduleRunning)
+        ));
         e.stop();
         // Multi-mode scheduling: resume after stop (§3.1).
-        assert!(e.start(at(100)).is_ok());
+        assert!(actions_of(|sink| e.start_into(at(100), sink)).is_ok());
     }
 
     #[test]
@@ -3075,16 +3031,21 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let acts = e.start(Instant::ZERO).unwrap();
+        let acts = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         match &acts[0] {
             Action::Dispatch { version, .. } => assert_eq!(version.index(), 0),
             other => panic!("{other:?}"),
         }
         let id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let _ = e.on_job_completed(WorkerId::new(0), id, at(1)).unwrap();
+        let _ =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), id, at(1), sink)).unwrap();
         // Switch mode; the next release must pick the secure version.
         e.set_mode(ExecMode::new(1));
-        let acts = e.on_tick(at(10));
+        let acts = actions_of(|sink| {
+            e.on_tick_into(at(10), sink);
+            Ok(())
+        })
+        .unwrap();
         match &acts[0] {
             Action::Dispatch { version, .. } => {
                 assert_eq!(version.index(), 1, "cache must refresh on mode switch")
@@ -3128,7 +3089,7 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let acts = e.start(Instant::ZERO).unwrap();
+        let acts = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         match &acts[0] {
             Action::Dispatch { version, .. } => {
                 assert_eq!(version.index(), 1, "full battery affords hungry")
@@ -3136,10 +3097,15 @@ mod tests {
             other => panic!("{other:?}"),
         }
         let id = e.running(WorkerId::new(0)).unwrap().job.id;
-        let _ = e.on_job_completed(WorkerId::new(0), id, at(1)).unwrap();
+        let _ =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), id, at(1), sink)).unwrap();
         // Battery collapses; the next dispatch must degrade.
         level.store(100, Ordering::Relaxed);
-        let acts = e.on_tick(at(10));
+        let acts = actions_of(|sink| {
+            e.on_tick_into(at(10), sink);
+            Ok(())
+        })
+        .unwrap();
         match &acts[0] {
             Action::Dispatch { version, .. } => {
                 assert_eq!(version.index(), 0, "cache must refresh on battery change")
@@ -3192,21 +3158,30 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         assert_eq!(e.running(WorkerId::new(0)).unwrap().job.task, winner);
         assert_eq!(e.ready_len(), 1, "loser queued");
         // Ticks before the loser's deadline (40ms) keep it queued.
-        let _ = e.on_tick(at(30));
+        let _ = actions_of(|sink| {
+            e.on_tick_into(at(30), sink);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(e.ready_len(), 1);
         assert_eq!(e.stats().culled, 0);
         // First tick past the deadline culls it.
-        let _ = e.on_tick(at(50));
+        let _ = actions_of(|sink| {
+            e.on_tick_into(at(50), sink);
+            Ok(())
+        })
+        .unwrap();
         assert_eq!(e.ready_len(), 0);
         assert_eq!(e.stats().culled, 1);
         // The culled job never dispatches: completing the winner leaves
         // the worker idle.
         let w = e.running(WorkerId::new(0)).unwrap().job.id;
-        let acts = e.on_job_completed(WorkerId::new(0), w, at(60)).unwrap();
+        let acts =
+            actions_of(|sink| e.on_job_completed_into(WorkerId::new(0), w, at(60), sink)).unwrap();
         assert!(acts.is_empty(), "{acts:?}");
         assert!(e.running(WorkerId::new(0)).is_none());
         assert_eq!(e.stats().dispatched, 1);
@@ -3228,7 +3203,7 @@ mod tests {
             .build()
             .unwrap();
         let mut e = OnlineEngine::new(ts, cfg).unwrap();
-        let acts = e.start(Instant::ZERO).unwrap();
+        let acts = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         match &acts[0] {
             Action::Dispatch { version, .. } => assert_eq!(version.index(), 1),
             other => panic!("{other:?}"),
@@ -3267,7 +3242,7 @@ mod tests {
         let ts = three_task_set();
         let receiver = TaskId::new(2);
         let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         let mut sink = ActionSink::new();
         e.on_high_posted_into(receiver, Priority::HIGHEST, at(1), &mut sink)
             .unwrap();
@@ -3308,7 +3283,7 @@ mod tests {
     fn high_post_boosts_running_job_and_drain_restores_base() {
         let ts = three_task_set();
         let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         // a runs with its EDF base priority (deadline at 10ms).
         let base = e.running(WorkerId::new(0)).unwrap().effective_priority;
         assert_eq!(base, Priority::earliest_deadline(at(10)));
@@ -3355,7 +3330,7 @@ mod tests {
         let ts = Arc::new(b.build().unwrap());
         let receiver = r;
         let mut e = OnlineEngine::new(ts, edf_np_config(2)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         // Both tasks run; complete both so the next releases are fresh.
         let mut sink = ActionSink::new();
         for w in [0, 1] {
@@ -3406,7 +3381,7 @@ mod tests {
         let ts = three_task_set();
         let receiver = TaskId::new(2);
         let mut e = OnlineEngine::new(ts, edf_np_config(1)).unwrap();
-        let _ = e.start(Instant::ZERO).unwrap();
+        let _ = actions_of(|sink| e.start_into(Instant::ZERO, sink)).unwrap();
         let mut sink = ActionSink::new();
         e.on_high_posted_into(receiver, Priority::new(9), at(1), &mut sink)
             .unwrap();

@@ -83,13 +83,6 @@ impl ActionSink {
     pub fn drain(&mut self) -> std::vec::Drain<'_, Action> {
         self.actions.drain(..)
     }
-
-    /// Consumes the sink into a plain `Vec` (the allocating legacy
-    /// representation).
-    #[must_use]
-    pub fn into_vec(self) -> Vec<Action> {
-        self.actions
-    }
 }
 
 impl Extend<Action> for ActionSink {

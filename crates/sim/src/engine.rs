@@ -7,6 +7,17 @@
 //! preempt, boost) are applied to modelled workers whose speed comes from
 //! the platform description.
 //!
+//! The same event core runs every simulator driver. A simulation drives
+//! either the one whole-system engine or N engine shards (one per
+//! worker, built by [`crate::par`]) from **one** queue with one global
+//! insertion sequence. Events that target an engine carry or derive its
+//! index: one tick train per engine, finishes map worker → engine,
+//! sporadic, message and fault events go to the engine of the task's
+//! worker, and a cross-shard DAG token drained from an engine's outbox
+//! becomes a `Cross` event for the destination engine at the same
+//! instant. Each engine samples execution times and kernel latencies
+//! from its own seeded streams.
+//!
 //! Overheads are handled two ways at once:
 //!
 //! * *modelled* overheads ([`OverheadModel`]) delay dispatches and charge
@@ -19,7 +30,7 @@
 
 use crate::exec::{ExecModel, ExecSampler};
 use crate::kernel::{KernelKind, KernelModel};
-use crate::par::ShardFeed;
+use crate::par::{pop_due, ShardFeed};
 use crate::stress::StressProfile;
 use crate::trace::{JobRecord, SimResult};
 use std::cmp::Reverse;
@@ -36,7 +47,10 @@ use yasmin_core::task::ActivationKind;
 use yasmin_core::time::{Duration, Instant};
 use yasmin_sched::admission::{AdmissionControl, AdmissionError};
 use yasmin_sched::server::{ReservationServer, TenantBudget};
-use yasmin_sched::{Action, ActionSink, Job, OnlineEngine, ShardCmd};
+use yasmin_sched::{
+    Action, ActionSink, EngineStats, Job, JobBatch, MsgEvent, OnlineEngine, RemoteActivation,
+    ShardCmd, MAX_STEAL_BATCH,
+};
 
 /// Modelled fixed costs of scheduler interactions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -129,7 +143,7 @@ pub struct SimConfig {
     /// posts/drains delivered deterministically at event boundaries, so
     /// a simulated run reproduces the priority boosts a real channel's
     /// notify hook would raise (see `yasmin_sched::msg`).
-    pub msg_schedule: Vec<(Duration, yasmin_sched::MsgEvent)>,
+    pub msg_schedule: Vec<(Duration, MsgEvent)>,
     /// Timed fault injections (offset from start, fault): overruns,
     /// crashes and activation bursts delivered deterministically, so
     /// fault handling is parity-testable bit-for-bit across drivers.
@@ -159,9 +173,20 @@ impl SimConfig {
     }
 }
 
+/// The receiving task of a message-plane event; its engine owns the
+/// event.
+pub(crate) fn msg_dst(ev: &MsgEvent) -> TaskId {
+    match *ev {
+        MsgEvent::HighPosted { dst, .. } | MsgEvent::HighDrained { dst } => dst,
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
-    Tick,
+    /// Scheduler tick of one engine (all engines share the tick grid).
+    Tick {
+        engine: usize,
+    },
     Finish {
         worker: WorkerId,
         job: JobId,
@@ -170,6 +195,14 @@ enum Ev {
     Sporadic {
         task: TaskId,
     },
+    /// A cross-shard DAG token routed to `engine` at the completion
+    /// instant of its source job.
+    Cross {
+        engine: usize,
+        edge: u32,
+        graph_release: Instant,
+    },
+    /// Switches every engine's execution mode at once.
     ModeSwitch {
         mode: yasmin_core::version::ExecMode,
     },
@@ -187,7 +220,7 @@ enum Ev {
     /// a high-lane post or drain delivered to the engine at this exact
     /// event boundary.
     Msg {
-        ev: yasmin_sched::MsgEvent,
+        ev: MsgEvent,
     },
     /// A scheduled fault injection ([`SimConfig::fault_schedule`]).
     Fault {
@@ -323,15 +356,27 @@ impl JobSlab {
     }
 }
 
+/// One engine a [`Simulation`] drives, with its own sampler streams.
+#[derive(Debug)]
+struct DrivenEngine {
+    engine: OnlineEngine,
+    exec: ExecSampler,
+    kernel: Option<KernelModel>,
+}
+
 /// The discrete-event simulator.
 #[derive(Debug)]
 pub struct Simulation {
-    engine: OnlineEngine,
+    /// The whole-system engine, or engine shards of distinct workers.
+    engines: Vec<DrivenEngine>,
+    /// Worker → index of the engine owning it; `None` for workers no
+    /// driven engine owns (the other workers of a lone shard). Energy
+    /// and idle accounting covers exactly the owned workers, so
+    /// per-shard results sum to the whole-system result.
+    engine_of: Vec<Option<usize>>,
     cfg: SimConfig,
     queue: BinaryHeap<Reverse<QItem>>,
     seq: u64,
-    exec: ExecSampler,
-    kernel: Option<KernelModel>,
     stress_intensity: f64,
     slices: Vec<Option<Slice>>,
     gens: Vec<u64>,
@@ -341,6 +386,8 @@ pub struct Simulation {
     suspended: Vec<(JobId, SlotRef)>,
     /// Reusable action buffer passed to every engine interaction.
     sink: ActionSink,
+    /// Reusable buffer for routing an engine's cross-shard tokens.
+    outbox: Vec<RemoteActivation>,
     /// Same-timestamp completions gathered for one batched engine call.
     finish_batch: Vec<(WorkerId, JobId)>,
     /// Sporadic root tasks and their release offsets, precomputed.
@@ -352,12 +399,9 @@ pub struct Simulation {
     worker_busy: Vec<Duration>,
     accel_busy: Vec<Duration>,
     tick: Duration,
-    /// `Some(w)`: this simulation drives the engine *shard* of worker
-    /// `w` (multi-threaded partitioned driver). Sporadic roots are then
-    /// fed externally through the mailbox instead of self-generated, and
-    /// energy/idle accounting covers only worker `w` so per-shard
-    /// results sum to the whole-system result.
-    shard: Option<WorkerId>,
+    /// `Some(cap)`: idle engines steal from loaded peers after every
+    /// event, up to `cap` jobs per exchange (see `Simulation::steal_pass`).
+    steal_batch: Option<usize>,
     /// Side table for [`Ev::Admit`]: (merged set, budget) per scheduled
     /// admission, pre-validated by [`Simulation::admit_at`].
     pending_admissions: Vec<(Arc<TaskSet>, Option<TenantBudget>)>,
@@ -378,20 +422,39 @@ impl Simulation {
     /// [`Error::InvalidConfig`] if the platform has fewer cores than
     /// workers, plus any engine construction error.
     pub fn new(taskset: Arc<TaskSet>, config: Config, sim: SimConfig) -> Result<Self> {
-        let engine = OnlineEngine::new(taskset, config)?;
-        Self::from_engine(engine, sim)
+        Self::from_engines([OnlineEngine::new(taskset, config)?], sim)
     }
 
-    /// Builds a simulation around an already-constructed engine — the
-    /// whole-system engine, or one shard of it (the multi-threaded
-    /// driver in [`crate::par`] hands each shard thread its own).
+    /// Builds a simulation around already-constructed engines: the
+    /// whole-system engine, or engine shards of distinct workers over
+    /// one task set (the drivers in [`crate::par`]). A shard of worker
+    /// *w* seeds its samplers from `seed ^ w·0x9E37_79B9_7F4A_7C15`, so
+    /// its streams are the same whichever driver runs it; the
+    /// whole-system engine uses `seed` itself.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] if the platform has fewer cores than
     /// workers.
-    pub(crate) fn from_engine(engine: OnlineEngine, sim: SimConfig) -> Result<Self> {
-        let config = engine.config();
+    pub(crate) fn from_engines(
+        engines: impl IntoIterator<Item = OnlineEngine>,
+        sim: SimConfig,
+    ) -> Result<Self> {
+        let engines: Vec<DrivenEngine> = engines
+            .into_iter()
+            .map(|engine| {
+                let seed = engine.shard_worker().map_or(sim.seed, |w| {
+                    sim.seed ^ u64::from(w.raw()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                });
+                DrivenEngine {
+                    exec: ExecSampler::new(sim.exec, seed ^ 0xE5E5),
+                    kernel: sim.kernel.map(|k| KernelModel::new(k, seed ^ 0x5EED)),
+                    engine,
+                }
+            })
+            .collect();
+        let first = &engines[0].engine;
+        let config = first.config();
         if config.workers() > sim.platform.core_count() {
             return Err(Error::InvalidConfig(format!(
                 "{} workers need {} cores but platform {} has {}",
@@ -402,14 +465,21 @@ impl Simulation {
             )));
         }
         let workers = config.workers();
-        let shard = engine.shard_worker();
-        let accels = engine.taskset().accels().len();
-        let tick = engine.tick_period();
+        let mut engine_of = vec![None; workers];
+        for (e, d) in engines.iter().enumerate() {
+            match d.engine.shard_worker() {
+                Some(w) => engine_of[w.index()] = Some(e),
+                None => engine_of.fill(Some(e)),
+            }
+        }
+        let accels = first.taskset().accels().len();
+        let tick = first.tick_period();
+        let planned = first.taskset_arc();
         let stress_intensity = sim.stress.intensity(sim.platform.core_count());
         // Sporadic bookkeeping is fixed by the task set: build it once
         // here instead of on every `run()` (released at the minimum
         // inter-arrival — the worst-case law the Fig. 2 harness wants).
-        let ts = engine.taskset();
+        let ts = first.taskset();
         let mut sporadic_roots = Vec::new();
         let mut sporadic_period = vec![Duration::ZERO; ts.len()];
         for t in ts.tasks() {
@@ -421,14 +491,15 @@ impl Simulation {
             }
         }
         Ok(Simulation {
-            exec: ExecSampler::new(sim.exec, sim.seed ^ 0xE5E5),
-            kernel: sim.kernel.map(|k| KernelModel::new(k, sim.seed ^ 0x5EED)),
+            engines,
+            engine_of,
             stress_intensity,
             slices: vec![None; workers],
             gens: vec![0; workers],
             slab: JobSlab::default(),
             suspended: Vec::new(),
             sink: ActionSink::with_capacity(workers * 2),
+            outbox: Vec::new(),
             finish_batch: Vec::with_capacity(workers),
             sporadic_roots,
             sporadic_period,
@@ -439,13 +510,19 @@ impl Simulation {
             queue: BinaryHeap::new(),
             seq: 0,
             tick,
-            shard,
+            steal_batch: None,
             pending_admissions: Vec::new(),
-            planned: engine.taskset_arc(),
+            planned,
             last_admit_offset: Duration::ZERO,
-            engine,
             cfg: sim,
         })
+    }
+
+    /// Enables work stealing between the driven engine shards, moving up
+    /// to `batch` jobs per exchange (see `Simulation::steal_pass`).
+    pub(crate) fn with_stealing(mut self, batch: usize) -> Self {
+        self.steal_batch = Some(batch);
+        self
     }
 
     /// Schedules a tenant admission at `offset` from the start:
@@ -476,7 +553,7 @@ impl Simulation {
                 "admissions must be scheduled in non-decreasing time order".into(),
             )));
         }
-        let ctl = AdmissionControl::new(self.engine.config().clone(), self.tick);
+        let ctl = AdmissionControl::new(self.engines[0].engine.config().clone(), self.tick);
         let merged = ctl.evaluate(&self.planned, tenant, budget.as_ref())?;
         // Tenant ids count the base set (tenant 0) plus every admission
         // scheduled so far, in splice order.
@@ -506,6 +583,29 @@ impl Simulation {
         }));
     }
 
+    /// The simulated task set (shared by every driven engine).
+    fn taskset(&self) -> &TaskSet {
+        self.engines[0].engine.taskset()
+    }
+
+    /// The engine owning `worker`.
+    fn engine_of_worker(&self, worker: WorkerId) -> usize {
+        self.engine_of[worker.index()].expect("the worker belongs to a driven engine")
+    }
+
+    /// The engine owning `task`'s activations, messages and faults: the
+    /// engine of its assigned worker when shards split the workers.
+    fn engine_of_task(&self, task: TaskId) -> usize {
+        if self.engines.len() == 1 {
+            return 0;
+        }
+        let worker = self.taskset().tasks()[task.index()]
+            .spec()
+            .assigned_worker()
+            .expect("shards validated the partition");
+        self.engine_of_worker(worker)
+    }
+
     fn speed_of(&self, worker: WorkerId) -> (u64, u64) {
         self.cfg
             .platform
@@ -525,25 +625,66 @@ impl Simulation {
         wall.scale(num, den)
     }
 
-    fn timed<F: FnOnce(&mut OnlineEngine)>(&mut self, f: F) {
-        if self.cfg.measure_engine_time {
+    /// One interaction with engine `e`: `f` runs on the cleared shared
+    /// sink (wall-clock timed when measuring), its actions are applied at
+    /// `now`, and every cross-shard token it left in the engine's outbox
+    /// becomes an [`Ev::Cross`] event for the owning engine at `now`.
+    fn interact<F>(&mut self, e: usize, now: Instant, f: F) -> Result<()>
+    where
+        F: FnOnce(&mut OnlineEngine, &mut ActionSink) -> Result<()>,
+    {
+        let mut sink = std::mem::take(&mut self.sink);
+        sink.clear();
+        let engine = &mut self.engines[e].engine;
+        let res = if self.cfg.measure_engine_time {
             let t0 = std::time::Instant::now();
-            f(&mut self.engine);
+            let res = f(engine, &mut sink);
             self.overhead_ns
                 .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            res
         } else {
-            f(&mut self.engine);
+            f(engine, &mut sink)
+        };
+        if res.is_ok() {
+            self.apply_actions(e, now, &sink);
         }
+        self.sink = sink;
+        res?;
+        // Only shards have peers to route to.
+        if self.engines.len() > 1 && self.engines[e].engine.has_outbox() {
+            self.route_outbox(e, now);
+        }
+        Ok(())
     }
 
-    fn apply_actions(&mut self, now: Instant, actions: &ActionSink) {
+    /// Turns every cross-shard token in engine `e`'s outbox into an
+    /// [`Ev::Cross`] event for the owning engine at `now`.
+    fn route_outbox(&mut self, e: usize, now: Instant) {
+        let mut outbox = std::mem::take(&mut self.outbox);
+        self.engines[e].engine.drain_outbox_into(&mut outbox);
+        for ra in outbox.drain(..) {
+            let engine = self.engine_of_worker(ra.worker);
+            self.push_event(
+                now,
+                Ev::Cross {
+                    engine,
+                    edge: ra.edge,
+                    graph_release: ra.graph_release,
+                },
+            );
+        }
+        self.outbox = outbox;
+    }
+
+    /// Applies the actions engine `e` emitted at `now`.
+    fn apply_actions(&mut self, e: usize, now: Instant, actions: &ActionSink) {
         for &a in actions.as_slice() {
             match a {
                 Action::Dispatch {
                     worker,
                     job,
                     version,
-                } => self.apply_dispatch(now, worker, job, version),
+                } => self.apply_dispatch(e, now, worker, job, version),
                 Action::Preempt { worker, job } => self.apply_preempt(now, worker, job),
                 Action::Boost { .. } => {
                     // Priority bookkeeping only; nothing to model.
@@ -559,12 +700,21 @@ impl Simulation {
         Some(self.suspended.swap_remove(pos).1)
     }
 
-    fn apply_dispatch(&mut self, now: Instant, worker: WorkerId, job: Job, version: VersionId) {
-        let task = &self.engine.taskset().tasks()[job.task.index()];
+    fn apply_dispatch(
+        &mut self,
+        e: usize,
+        now: Instant,
+        worker: WorkerId,
+        job: Job,
+        version: VersionId,
+    ) {
+        debug_assert_eq!(self.engine_of[worker.index()], Some(e));
+        let task = &self.taskset().tasks()[job.task.index()];
         let wcet = task.versions()[version.index()].wcet();
         // A job the engine has preempted before carries a slab slot with
         // its remaining work; anything else is a fresh start whose
-        // execution demand is sampled once.
+        // execution demand is sampled once, from the dispatching
+        // engine's stream.
         let (slot, remaining, fresh) = match self.take_suspended(job.id) {
             Some(slot) => {
                 let remaining = self.slab.get_mut(slot).progress.remaining_ref;
@@ -573,7 +723,7 @@ impl Simulation {
             }
             None => {
                 let slot = self.slab.insert(job);
-                let d = self.exec.sample(wcet);
+                let d = self.engines[e].exec.sample(wcet);
                 self.slab.get_mut(slot).progress.remaining_ref = Some(d);
                 (slot, d, true)
             }
@@ -583,7 +733,7 @@ impl Simulation {
         // pay the context switch instead.
         let mut delay = self.cfg.overheads.dispatch;
         if fresh {
-            if let Some(k) = self.kernel.as_mut() {
+            if let Some(k) = self.engines[e].kernel.as_mut() {
                 delay += k.sample_latency(self.stress_intensity);
             }
         } else {
@@ -637,7 +787,7 @@ impl Simulation {
     }
 
     fn account_accel(&mut self, slice: &Slice, busy: Duration) {
-        let task = &self.engine.taskset().tasks()[slice.task.index()];
+        let task = &self.taskset().tasks()[slice.task.index()];
         if let Some(a) = task.versions()[slice.version.index()].accel() {
             self.accel_busy[a.index()] += busy;
             self.slab.get_mut(slice.slot).progress.accel_busy += busy;
@@ -648,7 +798,7 @@ impl Simulation {
     /// job record — and returns the completion pair for the engine
     /// call, which the event loop batches across same-timestamp
     /// finishes. Returns `None` for a stale event (the slice was
-    /// preempted after this finish was scheduled).
+    /// preempted or crashed after this finish was scheduled).
     fn settle_finish(
         &mut self,
         now: Instant,
@@ -685,51 +835,44 @@ impl Simulation {
         Some((worker, job))
     }
 
-    /// Delivers one scheduled fault ([`SimConfig::fault_schedule`]).
-    fn apply_fault(&mut self, now: Instant, ev: FaultEvent) {
+    /// Delivers one scheduled fault ([`SimConfig::fault_schedule`]) to
+    /// engine `e`, the owner of the target task.
+    fn apply_fault(&mut self, e: usize, now: Instant, ev: FaultEvent) -> Result<()> {
         match ev {
-            FaultEvent::Overrun { task } => {
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.timed(|e| {
-                    // No-op when the task is not running at the instant
-                    // (e.g. it already finished) — the schedule stays
-                    // valid across parameter sweeps.
-                    let _ = e.force_overrun(task, now, &mut sink);
-                });
-                self.apply_actions(now, &sink);
-                self.sink = sink;
-            }
-            FaultEvent::Crash { task } => self.apply_crash(now, task),
+            // No-op when the task is not running at the instant (e.g. it
+            // already finished) — the schedule stays valid across
+            // parameter sweeps.
+            FaultEvent::Overrun { task } => self.interact(e, now, |eng, sink| {
+                let _ = eng.force_overrun(task, now, sink);
+                Ok(())
+            }),
+            FaultEvent::Crash { task } => self.apply_crash(e, now, task),
             FaultEvent::Burst { task, count } => {
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
                 for _ in 0..count {
-                    self.timed(|e| {
-                        // Tolerates non-activatable targets so burst
-                        // schedules compose with retirement schedules.
-                        let _ = e.activate_into(task, now, &mut sink);
-                    });
+                    // Tolerates non-activatable targets so burst
+                    // schedules compose with retirement schedules.
+                    self.interact(e, now, |eng, sink| {
+                        let _ = eng.activate_into(task, now, sink);
+                        Ok(())
+                    })?;
                 }
-                self.apply_actions(now, &sink);
-                self.sink = sink;
+                Ok(())
             }
         }
     }
 
-    /// Crashes the running job of `task` — the simulated analogue of a
-    /// worker catching a body panic (`yasmin-rt` wraps bodies in
-    /// `catch_unwind`). Progress is accounted, the slice and slab entry
-    /// are dropped *without* a completion record (a failed job never
-    /// completed), and the engine retires the job through its failure
-    /// path. No-op if the task is not running at the instant.
-    fn apply_crash(&mut self, now: Instant, task: TaskId) {
-        let Some(w) = self
-            .slices
-            .iter()
-            .position(|s| matches!(s, Some(sl) if sl.task == task))
-        else {
-            return;
+    /// Crashes the running job of `task` on engine `e`'s workers — the
+    /// simulated analogue of a worker catching a body panic (`yasmin-rt`
+    /// wraps bodies in `catch_unwind`). Progress is accounted, the slice
+    /// and slab entry are dropped *without* a completion record (a
+    /// failed job never completed), and the engine retires the job
+    /// through its failure path. No-op if the task is not running there
+    /// at the instant.
+    fn apply_crash(&mut self, e: usize, now: Instant, task: TaskId) -> Result<()> {
+        let Some(w) = (0..self.slices.len()).find(|&w| {
+            self.engine_of[w] == Some(e) && matches!(self.slices[w], Some(sl) if sl.task == task)
+        }) else {
+            return Ok(());
         };
         let slice = self.slices[w].take().expect("position matched");
         let worker = WorkerId::new(w as u16);
@@ -741,14 +884,76 @@ impl Simulation {
         self.account_accel(&slice, busy);
         let (j, _p) = self.slab.remove(slice.slot);
         debug_assert_eq!(j.id, slice.job, "slab slot tracks the crashed job");
-        let mut sink = std::mem::take(&mut self.sink);
-        sink.clear();
-        self.timed(|e| {
-            e.on_job_failed_into(worker, slice.job, now, &mut sink)
-                .expect("crashed job is running on its worker");
-        });
-        self.apply_actions(now, &sink);
-        self.sink = sink;
+        self.interact(e, now, |eng, sink| {
+            eng.on_job_failed_into(worker, slice.job, now, sink)
+        })
+    }
+
+    /// At an event boundary of a stealing run, every fully idle engine
+    /// (no running slice, empty queue) adopts work from the most loaded
+    /// *stealable* peer (one whose probe yields a hint; ties towards the
+    /// lowest engine index); rounds repeat until no steal succeeds.
+    /// Deterministic by construction. With `steal_batch == 1` each
+    /// exchange moves the single most urgent job ([`ShardCmd::Stolen`]'s
+    /// protocol); above `1` it moves up to half the victim's ready load
+    /// in one exchange ([`ShardCmd::StolenBatch`]) — the batch size
+    /// depends only on the victim's queue length, so reruns stay
+    /// bit-identical. Kept out of line: the per-event loop stays small
+    /// for the runs that never steal.
+    #[inline(never)]
+    fn steal_pass(&mut self, at: Instant, steal_batch: usize) -> Result<()> {
+        let n = self.engines.len();
+        let mut hints = Vec::new();
+        loop {
+            let mut stole = false;
+            for thief in 0..n {
+                let busy = (0..self.slices.len())
+                    .any(|w| self.engine_of[w] == Some(thief) && self.slices[w].is_some());
+                if busy || self.engines[thief].engine.ready_len() > 0 {
+                    continue;
+                }
+                let victim = (0..n)
+                    .filter(|&v| v != thief)
+                    .filter(|&v| self.engines[v].engine.steal_hint().is_some())
+                    .map(|v| (self.engines[v].engine.ready_len(), v))
+                    .max_by_key(|&(load, v)| (load, Reverse(v)));
+                let Some((load, v)) = victim else { continue };
+                if steal_batch <= 1 {
+                    let Some(hint) = self.engines[v].engine.steal_hint() else {
+                        continue;
+                    };
+                    let Some(job) = self.engines[v].engine.release_stolen(hint) else {
+                        continue;
+                    };
+                    self.interact(thief, at, |eng, sink| eng.adopt_stolen(job, at, sink))?;
+                } else {
+                    // Half the load gap (the thief is empty, so the gap
+                    // is the victim's whole ready load), capped by the
+                    // option and the protocol batch limit — the same
+                    // sizing rule the free-running runtime derives from
+                    // its load board.
+                    let k = (load / 2).clamp(1, steal_batch.min(MAX_STEAL_BATCH));
+                    if self.engines[v].engine.steal_hints(k, &mut hints) == 0 {
+                        continue;
+                    }
+                    let mut jobs = JobBatch::new();
+                    if self.engines[v]
+                        .engine
+                        .release_stolen_batch(&hints, &mut jobs)
+                        == 0
+                    {
+                        continue;
+                    }
+                    self.interact(thief, at, |eng, sink| {
+                        eng.adopt_stolen_batch(jobs.as_slice(), at, sink)
+                    })?;
+                }
+                stole = true;
+            }
+            if !stole {
+                return Ok(());
+            }
+        }
     }
 
     /// Runs the simulation to the horizon and aggregates the result.
@@ -758,126 +963,36 @@ impl Simulation {
     /// Engine errors (protocol violations) — not expected in normal
     /// operation.
     pub fn run(self) -> Result<SimResult> {
-        self.run_with_feed(None)
+        self.run_with_feeds(Vec::new())
     }
 
-    /// Processes one externally-fed command at its carried time.
-    /// Commands past the horizon are drained but not simulated (the
-    /// producers must be unblocked even when the run is over).
-    fn apply_external(&mut self, cmd: ShardCmd, horizon: Instant) -> Result<()> {
-        match cmd {
-            ShardCmd::Activate { task, at } => {
-                if at > horizon {
-                    return Ok(());
-                }
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.timed(|e| {
-                    e.activate_into(task, at, &mut sink)
-                        .expect("fed task is activatable on this shard");
-                });
-                self.apply_actions(at, &sink);
-                self.sink = sink;
-                Ok(())
-            }
-            ShardCmd::Tick { at } => {
-                if at > horizon {
-                    return Ok(());
-                }
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.timed(|e| e.on_tick_into(at, &mut sink));
-                self.apply_actions(at, &sink);
-                self.sink = sink;
-                Ok(())
-            }
-            ShardCmd::MsgHigh { dst, ceiling, at } => {
-                if at > horizon {
-                    return Ok(());
-                }
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.timed(|e| {
-                    e.on_high_posted_into(dst, ceiling, at, &mut sink)
-                        .expect("fed message destination is owned by this shard");
-                });
-                self.apply_actions(at, &sink);
-                self.sink = sink;
-                Ok(())
-            }
-            ShardCmd::MsgDrained { dst, at } => {
-                if at > horizon {
-                    return Ok(());
-                }
-                let mut sink = std::mem::take(&mut self.sink);
-                sink.clear();
-                self.timed(|e| {
-                    e.on_high_drained_into(dst, at, &mut sink)
-                        .expect("fed message destination is owned by this shard");
-                });
-                self.apply_actions(at, &sink);
-                self.sink = sink;
-                Ok(())
-            }
-            ShardCmd::Stop => {
-                self.engine.stop();
-                Ok(())
-            }
-            ShardCmd::JobCompleted { .. } | ShardCmd::JobFailed { .. } => {
-                Err(Error::InvalidConfig(
-                    "the simulator generates completions and failures internally; an \
-                 external completion command is a driver bug"
-                        .into(),
-                ))
-            }
-            ShardCmd::CrossActivate { .. }
-            | ShardCmd::StealRequest { .. }
-            | ShardCmd::Stolen { .. }
-            | ShardCmd::StolenBatch { .. }
-            | ShardCmd::StealDeny { .. } => Err(Error::InvalidConfig(
-                "cross-shard routing and stealing run through the protocol loop \
-                 (yasmin_sim::par), not the free-running shard feed"
-                    .into(),
-            )),
-            ShardCmd::AdmitTasks { .. }
-            | ShardCmd::CommitTenant { .. }
-            | ShardCmd::RetireTenant { .. } => Err(Error::InvalidConfig(
-                "the simulator schedules admissions deterministically via \
-                 Simulation::admit_at / retire_at, not the external feed"
-                    .into(),
-            )),
-        }
-    }
-
-    /// [`Simulation::run`] with an optional external command feed — the
-    /// multi-threaded partitioned driver ([`crate::par`]) hands each
-    /// shard a mailbox-backed feed delivering its sporadic activations.
+    /// [`Simulation::run`] with external activation feeds, one per
+    /// driven engine — the drivers in [`crate::par`] hand each engine a
+    /// mailbox-backed feed delivering its sporadic activations; without
+    /// feeds the simulation releases its sporadic roots itself.
     ///
     /// The merge is deterministic regardless of producer thread timing:
     /// each mailbox lane delivers commands in non-decreasing time order,
-    /// the feed blocks until every open lane has revealed its next
-    /// command (the watermark), and an external command at time *t* is
-    /// processed before any local event at the same *t*.
-    pub(crate) fn run_with_feed(mut self, mut feed: Option<ShardFeed>) -> Result<SimResult> {
+    /// a feed blocks until every open lane has revealed its next command
+    /// (the watermark), the earliest command across feeds wins (ties
+    /// towards the lower engine index), and an external command at time
+    /// *t* is processed before any local event at the same *t*.
+    pub(crate) fn run_with_feeds(mut self, mut feeds: Vec<ShardFeed>) -> Result<SimResult> {
         let horizon = Instant::ZERO + self.cfg.horizon;
 
-        // Start the schedule and arm the tick train.
-        let mut sink = std::mem::take(&mut self.sink);
-        if self.cfg.measure_engine_time {
-            let t0 = std::time::Instant::now();
-            self.engine.start_into(Instant::ZERO, &mut sink)?;
-            self.overhead_ns
-                .record(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        } else {
-            self.engine.start_into(Instant::ZERO, &mut sink)?;
+        // Start every engine, then arm one tick train per engine.
+        for e in 0..self.engines.len() {
+            self.interact(e, Instant::ZERO, |eng, sink| {
+                eng.start_into(Instant::ZERO, sink)
+            })?;
         }
-        self.apply_actions(Instant::ZERO, &sink);
-        self.sink = sink;
-        self.push_event(Instant::ZERO + self.tick, Ev::Tick);
+        for engine in 0..self.engines.len() {
+            self.push_event(Instant::ZERO + self.tick, Ev::Tick { engine });
+        }
 
         // Arm the sporadic roots (precomputed in `new`) — unless the
-        // external feed is the activation source.
-        if feed.is_none() {
+        // external feeds are the activation source.
+        if feeds.is_empty() {
             for i in 0..self.sporadic_roots.len() {
                 let (t, offset) = self.sporadic_roots[i];
                 self.push_event(Instant::ZERO + offset, Ev::Sporadic { task: t });
@@ -895,6 +1010,9 @@ impl Simulation {
         for (offset, ev) in fault_schedule {
             self.push_event(Instant::ZERO + offset, Ev::Fault { ev });
         }
+        if let Some(cap) = self.steal_batch {
+            self.steal_pass(Instant::ZERO, cap)?;
+        }
 
         loop {
             // Next local event, unless the run is over (the first local
@@ -905,11 +1023,27 @@ impl Simulation {
                 .peek()
                 .map(|Reverse(item)| item.time)
                 .filter(|&t| Instant::from_nanos(t) <= horizon);
-            if let Some(f) = feed.as_mut() {
-                if let Some(cmd) = f.pop_if_at_or_before(local_t) {
-                    self.apply_external(cmd, horizon)?;
-                    continue;
+            let due = if feeds.is_empty() {
+                None
+            } else {
+                pop_due(&mut feeds, local_t)
+            };
+            if let Some((e, cmd)) = due {
+                let ShardCmd::Activate { task, at } = cmd else {
+                    return Err(Error::InvalidConfig(format!(
+                        "the simulator's feeds carry sporadic activations only, got {cmd:?}"
+                    )));
+                };
+                // Commands past the horizon are drained but not
+                // simulated (the producers must be unblocked even when
+                // the run is over).
+                if at <= horizon {
+                    self.interact(e, at, |eng, sink| eng.activate_into(task, at, sink))?;
+                    if let Some(cap) = self.steal_batch {
+                        self.steal_pass(at, cap)?;
+                    }
                 }
+                continue;
             }
             if local_t.is_none() {
                 break;
@@ -918,156 +1052,9 @@ impl Simulation {
                 break;
             };
             let now = Instant::from_nanos(item.time);
-            match item.ev {
-                Ev::Tick => {
-                    let mut sink = std::mem::take(&mut self.sink);
-                    sink.clear();
-                    self.timed(|e| e.on_tick_into(now, &mut sink));
-                    self.apply_actions(now, &sink);
-                    self.sink = sink;
-                    let next = now + self.tick;
-                    // The horizon is exclusive for new releases, so runs
-                    // over [0, horizon) release exactly horizon/T jobs.
-                    if next < horizon {
-                        self.push_event(next, Ev::Tick);
-                    }
-                }
-                Ev::Finish { worker, job, gen } => {
-                    let mut batch = std::mem::take(&mut self.finish_batch);
-                    batch.clear();
-                    if let Some(c) = self.settle_finish(now, worker, job, gen) {
-                        batch.push(c);
-                    }
-                    // Coalesce the consecutive run of same-timestamp
-                    // finishes at the head of the event queue into one
-                    // batched engine call — a burst of completions pays
-                    // a single dispatch round. Only the Finish prefix is
-                    // absorbed, so ordering against ticks and arrivals
-                    // at the same instant is unchanged.
-                    loop {
-                        let more = matches!(
-                            self.queue.peek(),
-                            Some(Reverse(n))
-                                if n.time == item.time && matches!(n.ev, Ev::Finish { .. })
-                        );
-                        if !more {
-                            break;
-                        }
-                        let Some(Reverse(next)) = self.queue.pop() else {
-                            break;
-                        };
-                        let Ev::Finish { worker, job, gen } = next.ev else {
-                            unreachable!("peek matched a finish event")
-                        };
-                        if let Some(c) = self.settle_finish(now, worker, job, gen) {
-                            batch.push(c);
-                        }
-                    }
-                    if !batch.is_empty() {
-                        let mut sink = std::mem::take(&mut self.sink);
-                        sink.clear();
-                        self.timed(|e| {
-                            e.on_jobs_completed_into(&batch, now, &mut sink)
-                                .expect("driver protocol upheld");
-                        });
-                        self.apply_actions(now, &sink);
-                        self.sink = sink;
-                    }
-                    self.finish_batch = batch;
-                }
-                Ev::Sporadic { task } => {
-                    // A retired tenant's sporadic train ends silently:
-                    // no activation, no re-arm.
-                    if self.engine.is_task_retired(task) {
-                        continue;
-                    }
-                    let mut sink = std::mem::take(&mut self.sink);
-                    sink.clear();
-                    self.timed(|e| {
-                        e.activate_into(task, now, &mut sink)
-                            .expect("sporadic task is activatable");
-                    });
-                    self.apply_actions(now, &sink);
-                    self.sink = sink;
-                    let next = now + self.sporadic_period[task.index()];
-                    if next < horizon {
-                        self.push_event(next, Ev::Sporadic { task });
-                    }
-                }
-                Ev::ModeSwitch { mode } => {
-                    self.engine.set_mode(mode);
-                }
-                Ev::Msg { ev } => {
-                    let mut sink = std::mem::take(&mut self.sink);
-                    sink.clear();
-                    self.timed(|e| {
-                        match ev {
-                            yasmin_sched::MsgEvent::HighPosted { dst, ceiling } => {
-                                e.on_high_posted_into(dst, ceiling, now, &mut sink)
-                            }
-                            yasmin_sched::MsgEvent::HighDrained { dst } => {
-                                e.on_high_drained_into(dst, now, &mut sink)
-                            }
-                        }
-                        .expect("scheduled message event targets a known task");
-                    });
-                    self.apply_actions(now, &sink);
-                    self.sink = sink;
-                }
-                Ev::Fault { ev } => self.apply_fault(now, ev),
-                Ev::Admit { idx } => {
-                    let (merged, budget) = self.pending_admissions[idx].clone();
-                    let tenant = TenantId::new(self.engine.tenant_count() as u32);
-                    let server = budget.map(|b| ReservationServer::new(tenant, b, now));
-                    let first_new = self.engine.taskset().len();
-                    // Splice: pre-validated at admit_at time, so a
-                    // failure here is a driver bug, not a tenant fault.
-                    self.engine
-                        .splice_taskset(Arc::clone(&merged), server)
-                        .expect("admission was validated by admit_at");
-                    // Grow the per-task / per-accel side state the sim
-                    // keeps alongside the engine.
-                    self.accel_busy
-                        .resize(merged.accels().len(), Duration::ZERO);
-                    for t in &merged.tasks()[first_new..] {
-                        self.sporadic_period
-                            .push(if t.spec().kind() == ActivationKind::Sporadic {
-                                t.spec().period()
-                            } else {
-                                Duration::ZERO
-                            });
-                    }
-                    let mut sink = std::mem::take(&mut self.sink);
-                    sink.clear();
-                    self.timed(|e| {
-                        e.commit_tenant_into(tenant, now, &mut sink)
-                            .expect("spliced tenant commits");
-                    });
-                    self.apply_actions(now, &sink);
-                    self.sink = sink;
-                    // Arm the tenant's sporadic roots from the commit
-                    // instant, like the base set's at start.
-                    for t in &merged.tasks()[first_new..] {
-                        if t.spec().kind() == ActivationKind::Sporadic
-                            && merged.in_degree(t.id()) == 0
-                        {
-                            let first = now + t.spec().release_offset();
-                            if first < horizon {
-                                self.push_event(first, Ev::Sporadic { task: t.id() });
-                            }
-                        }
-                    }
-                }
-                Ev::Retire { tenant } => {
-                    let mut sink = std::mem::take(&mut self.sink);
-                    sink.clear();
-                    self.timed(|e| {
-                        e.retire_tenant_into(tenant, now, &mut sink)
-                            .expect("retired tenant was admitted");
-                    });
-                    self.apply_actions(now, &sink);
-                    self.sink = sink;
-                }
+            self.handle(now, item, horizon)?;
+            if let Some(cap) = self.steal_batch {
+                self.steal_pass(now, cap)?;
             }
         }
 
@@ -1081,12 +1068,12 @@ impl Simulation {
         }
 
         // Energy model: busy at active power, idle at idle power, accels
-        // at their active power. A shard accounts only its own worker
-        // (busy *and* idle), so per-shard energies sum to the
-        // whole-system figure without double-counting idle cores.
+        // at their active power — over the owned workers only, so
+        // per-shard energies sum to the whole-system figure without
+        // double-counting idle cores.
         let mut energy = Energy::ZERO;
         for (w, busy) in self.worker_busy.iter().enumerate() {
-            if self.shard.is_some_and(|sw| sw.index() != w) {
+            if self.engine_of[w].is_none() {
                 continue;
             }
             let class = self.cfg.platform.class_of(CoreId::new(w as u16));
@@ -1095,28 +1082,178 @@ impl Simulation {
             energy += class.idle_power().energy_over(idle);
         }
         for (a, busy) in self.accel_busy.iter().enumerate() {
-            let spec = &self.engine.taskset().accels()[a];
+            let spec = &self.taskset().accels()[a];
             energy += spec.active_power().energy_over(*busy);
         }
 
         // Unfinished jobs: anything still tracked.
-        let unfinished = self.slab.len() + self.engine.ready_len();
+        let ready: usize = self.engines.iter().map(|d| d.engine.ready_len()).sum();
+        let unfinished = self.slab.len() + ready;
         let unfinished_missed = self
             .slab
             .iter_jobs()
             .filter(|j| j.deadline_missed_at(horizon))
             .count();
+        let mut engine_stats = EngineStats::default();
+        for d in &self.engines {
+            engine_stats.merge(d.engine.stats());
+        }
+        // Several engines retire in one global order, but records are
+        // reported in the drivers' shared total order: (completion,
+        // task, seq) — each (task, seq) completes exactly once.
+        let mut records = self.records;
+        if self.engines.len() > 1 {
+            records.sort_by_key(|r| (r.completion, r.task, r.seq));
+        }
 
         Ok(SimResult {
-            records: self.records,
+            records,
             unfinished,
             unfinished_missed,
-            engine_stats: self.engine.stats().clone(),
+            engine_stats,
             horizon,
             sched_overhead_ns: self.overhead_ns,
             worker_busy: self.worker_busy,
             energy,
         })
+    }
+
+    /// Applies one local event popped at `now`.
+    fn handle(&mut self, now: Instant, item: QItem, horizon: Instant) -> Result<()> {
+        match item.ev {
+            Ev::Tick { engine } => {
+                self.interact(engine, now, |eng, sink| {
+                    eng.on_tick_into(now, sink);
+                    Ok(())
+                })?;
+                let next = now + self.tick;
+                // The horizon is exclusive for new releases, so runs
+                // over [0, horizon) release exactly horizon/T jobs.
+                if next < horizon {
+                    self.push_event(next, Ev::Tick { engine });
+                }
+            }
+            Ev::Finish { worker, job, gen } => {
+                let e = self.engine_of_worker(worker);
+                let mut batch = std::mem::take(&mut self.finish_batch);
+                batch.clear();
+                if let Some(c) = self.settle_finish(now, worker, job, gen) {
+                    batch.push(c);
+                }
+                // Coalesce the consecutive run of same-timestamp
+                // finishes of the same engine at the head of the event
+                // queue into one batched engine call — a burst of
+                // completions pays a single dispatch round. Only the
+                // Finish prefix is absorbed, so ordering against ticks
+                // and arrivals at the same instant is unchanged.
+                loop {
+                    let more = matches!(
+                        self.queue.peek(),
+                        Some(Reverse(n)) if n.time == item.time && matches!(
+                            n.ev,
+                            Ev::Finish { worker, .. } if self.engine_of[worker.index()] == Some(e)
+                        )
+                    );
+                    if !more {
+                        break;
+                    }
+                    let Some(Reverse(next)) = self.queue.pop() else {
+                        break;
+                    };
+                    let Ev::Finish { worker, job, gen } = next.ev else {
+                        unreachable!("peek matched a finish event")
+                    };
+                    if let Some(c) = self.settle_finish(now, worker, job, gen) {
+                        batch.push(c);
+                    }
+                }
+                if !batch.is_empty() {
+                    self.interact(e, now, |eng, sink| {
+                        eng.on_jobs_completed_into(&batch, now, sink)
+                    })?;
+                }
+                self.finish_batch = batch;
+            }
+            Ev::Sporadic { task } => {
+                let e = self.engine_of_task(task);
+                // A retired tenant's sporadic train ends silently: no
+                // activation, no re-arm.
+                if self.engines[e].engine.is_task_retired(task) {
+                    return Ok(());
+                }
+                self.interact(e, now, |eng, sink| eng.activate_into(task, now, sink))?;
+                let next = now + self.sporadic_period[task.index()];
+                if next < horizon {
+                    self.push_event(next, Ev::Sporadic { task });
+                }
+            }
+            Ev::Cross {
+                engine,
+                edge,
+                graph_release,
+            } => self.interact(engine, now, |eng, sink| {
+                eng.on_remote_token(edge, graph_release, now, sink)
+            })?,
+            Ev::ModeSwitch { mode } => {
+                for d in &mut self.engines {
+                    d.engine.set_mode(mode);
+                }
+            }
+            Ev::Msg { ev } => {
+                let e = self.engine_of_task(msg_dst(&ev));
+                self.interact(e, now, |eng, sink| match ev {
+                    MsgEvent::HighPosted { dst, ceiling } => {
+                        eng.on_high_posted_into(dst, ceiling, now, sink)
+                    }
+                    MsgEvent::HighDrained { dst } => eng.on_high_drained_into(dst, now, sink),
+                })?;
+            }
+            Ev::Fault { ev } => self.apply_fault(self.engine_of_task(ev.task()), now, ev)?,
+            // Admissions exist on single-engine simulations only
+            // (`Simulation::new`), so they address engine 0.
+            Ev::Admit { idx } => {
+                let (merged, budget) = self.pending_admissions[idx].clone();
+                let engine = &mut self.engines[0].engine;
+                let tenant = TenantId::new(engine.tenant_count() as u32);
+                let server = budget.map(|b| ReservationServer::new(tenant, b, now));
+                let first_new = engine.taskset().len();
+                // Splice: pre-validated at admit_at time, so a failure
+                // here is a driver bug, not a tenant fault.
+                engine
+                    .splice_taskset(Arc::clone(&merged), server)
+                    .expect("admission was validated by admit_at");
+                // Grow the per-task / per-accel side state the sim keeps
+                // alongside the engine.
+                self.accel_busy
+                    .resize(merged.accels().len(), Duration::ZERO);
+                for t in &merged.tasks()[first_new..] {
+                    self.sporadic_period
+                        .push(if t.spec().kind() == ActivationKind::Sporadic {
+                            t.spec().period()
+                        } else {
+                            Duration::ZERO
+                        });
+                }
+                self.interact(0, now, |eng, sink| {
+                    eng.commit_tenant_into(tenant, now, sink)
+                })?;
+                // Arm the tenant's sporadic roots from the commit
+                // instant, like the base set's at start.
+                for t in &merged.tasks()[first_new..] {
+                    if t.spec().kind() == ActivationKind::Sporadic && merged.in_degree(t.id()) == 0
+                    {
+                        let first = now + t.spec().release_offset();
+                        if first < horizon {
+                            self.push_event(first, Ev::Sporadic { task: t.id() });
+                        }
+                    }
+                }
+            }
+            Ev::Retire { tenant } => self.interact(0, now, |eng, sink| {
+                eng.retire_tenant_into(tenant, now, sink)
+            })?,
+        }
+        Ok(())
     }
 }
 

@@ -5,16 +5,18 @@
 //! (`yasmin-sched`) with virtual time, so every experiment exercises
 //! production scheduling code on a modelled platform:
 //!
-//! * [`engine`] — the DES driver ([`engine::Simulation`]): event queue,
+//! * [`engine`] — the DES event core ([`engine::Simulation`]): one
+//!   event queue driving the whole-system engine or N engine shards,
 //!   modelled workers with per-core speeds, preemption progress tracking,
 //!   measured + modelled overheads, energy accounting;
 //! * [`exec`] — execution-time models (WCET, uniform fraction);
 //! * [`kernel`] — wake-up-latency models of the kernels in Table 2
 //!   (vanilla Linux, PREEMPT_RT, LitmusRT GSN-EDF / P-RES);
-//! * [`par`] — the multi-threaded partitioned driver: one simulation
-//!   thread per engine shard, fed by producer threads through the
-//!   lock-free command mailbox, with results identical to the
-//!   single-threaded [`engine::Simulation`];
+//! * [`par`] — the partitioned drivers: engine shards fed by producer
+//!   threads through the lock-free command mailbox, run one simulation
+//!   thread per shard or — for cross-shard DAGs and stealing — as one
+//!   N-engine [`engine::Simulation`], with results identical to the
+//!   single-owner simulation;
 //! * [`stress`] — the stress-ng-like interference profile;
 //! * [`trace`] — per-job records and result aggregation;
 //! * [`render`] — ASCII Gantt charts and Chrome-trace export.

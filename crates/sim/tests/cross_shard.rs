@@ -8,17 +8,22 @@
 //! * an imbalanced partitioned set with stealing enabled shows
 //!   `stolen > 0` and a strictly lower makespan than the same run
 //!   without stealing;
-//! * the protocol loop is deterministic run to run.
+//! * the protocol loop is deterministic run to run;
+//! * the protocol loop runs mode schedules (same trace as the
+//!   single-owner reference) and kernel models (reproducible reruns).
 
 use std::sync::Arc;
-use yasmin_core::config::{Config, MappingScheme};
+use yasmin_core::config::{Config, MappingScheme, VersionPolicy};
 use yasmin_core::graph::{TaskSet, TaskSetBuilder};
 use yasmin_core::ids::WorkerId;
 use yasmin_core::priority::PriorityPolicy;
 use yasmin_core::task::TaskSpec;
 use yasmin_core::time::{Duration, Instant};
-use yasmin_core::version::VersionSpec;
-use yasmin_sim::{run_partitioned_parallel, ParSimOptions, SimConfig, SimResult, Simulation};
+use yasmin_core::version::{ExecMode, ModeMask, VersionSpec};
+use yasmin_sim::{
+    run_partitioned_parallel, KernelKind, ParSimOptions, SimConfig, SimResult, Simulation,
+    StressProfile,
+};
 
 fn ms(v: u64) -> Duration {
     Duration::from_millis(v)
@@ -42,7 +47,6 @@ fn config(workers: usize, sharded: bool) -> Config {
 fn opts(steal: bool) -> ParSimOptions {
     ParSimOptions {
         producers: 2,
-        lane_capacity: 16,
         steal,
         steal_batch: 1,
     }
@@ -492,4 +496,106 @@ fn protocol_loop_rejects_preemptive_configs() {
         .unwrap();
     let err = run_partitioned_parallel(ts, preemptive, SimConfig::uniform(2, ms(50)), opts(false));
     assert!(err.is_err());
+}
+
+#[test]
+fn mode_schedule_through_protocol_loop_matches_single_owner_reference() {
+    // Both cross-shard edges' endpoints carry a NORMAL and a SECURE
+    // version of different WCETs; the switch to SECURE at 61.003 ms and
+    // back at 140.009 ms lands off the tick grid and off every
+    // completion instant, so both drivers select the same version for
+    // every dispatch.
+    let secure = ExecMode::new(1);
+    let w0 = WorkerId::new(0);
+    let w1 = WorkerId::new(1);
+    let mut b = TaskSetBuilder::new();
+    let a = b
+        .task_decl(TaskSpec::periodic("a", ms(20)).on_worker(w0))
+        .unwrap();
+    let a_dst = b
+        .task_decl(TaskSpec::graph_node("a_dst").on_worker(w1))
+        .unwrap();
+    let bb = b
+        .task_decl(TaskSpec::periodic("b", ms(40)).on_worker(w1))
+        .unwrap();
+    let b_dst = b
+        .task_decl(TaskSpec::graph_node("b_dst").on_worker(w0))
+        .unwrap();
+    for (t, normal, sec) in [
+        (a, 3_137, 4_019),
+        (a_dst, 2_411, 2_903),
+        (bb, 5_071, 6_113),
+        (b_dst, 1_913, 2_207),
+    ] {
+        b.version_decl(
+            t,
+            VersionSpec::new("normal", us(normal)).with_modes(ModeMask::only(ExecMode::NORMAL)),
+        )
+        .unwrap();
+        b.version_decl(
+            t,
+            VersionSpec::new("secure", us(sec)).with_modes(ModeMask::only(secure)),
+        )
+        .unwrap();
+    }
+    let c1 = b.channel_decl("c1", 1, 8);
+    let c2 = b.channel_decl("c2", 1, 8);
+    b.channel_connect(a, a_dst, c1).unwrap();
+    b.channel_connect(bb, b_dst, c2).unwrap();
+    let ts = Arc::new(b.build().unwrap());
+    let mode_config = |sharded: bool| {
+        Config::builder()
+            .workers(2)
+            .mapping(MappingScheme::Partitioned)
+            .sharded_dispatch(sharded)
+            .priority(PriorityPolicy::EarliestDeadlineFirst)
+            .version_policy(VersionPolicy::Mode)
+            .preemption(false)
+            .build()
+            .unwrap()
+    };
+    let mut sim = SimConfig::uniform(2, ms(200));
+    sim.mode_schedule = vec![(us(61_003), secure), (us(140_009), ExecMode::NORMAL)];
+
+    let single = Simulation::new(Arc::clone(&ts), mode_config(false), sim.clone())
+        .unwrap()
+        .run()
+        .unwrap();
+    let par = run_partitioned_parallel(Arc::clone(&ts), mode_config(true), sim, opts(false))
+        .expect("the protocol loop runs mode schedules");
+    assert!(par.engine_stats.cross_activations >= 10);
+    // The switch really changed the selected versions, on both sides of
+    // both cross-shard edges.
+    for t in [a, a_dst, bb, b_dst] {
+        let versions = |r: &SimResult| {
+            let mut v: Vec<_> = r.records_of(t).map(|rec| rec.version.index()).collect();
+            v.dedup();
+            v
+        };
+        assert_eq!(versions(&par), [0, 1, 0], "task {t}");
+    }
+    assert_same_trace(&single, &par);
+}
+
+#[test]
+fn kernel_model_through_protocol_loop_is_reproducible() {
+    let ts = cross_shard_set();
+    let mut sim = SimConfig::uniform(2, ms(200));
+    sim.kernel = Some(KernelKind::PreemptRt);
+    sim.stress = StressProfile::PAPER;
+    sim.seed = 42;
+    let run = || {
+        run_partitioned_parallel(Arc::clone(&ts), config(2, true), sim.clone(), opts(false))
+            .expect("the protocol loop runs kernel models")
+    };
+    let x = run();
+    let y = run();
+    assert!(x.engine_stats.cross_activations >= 10);
+    // Every start pays the modelled wake-up latency (PREEMPT_RT's base
+    // latency is 170 us).
+    assert!(!x.records.is_empty());
+    for rec in &x.records {
+        assert!(rec.start_latency() >= us(170), "{rec:?}");
+    }
+    assert_eq!(x.records, y.records);
 }

@@ -50,7 +50,6 @@ fn assert_traces_match(ts: &Arc<TaskSet>, workers: usize, horizon: Duration, pro
         sim,
         ParSimOptions {
             producers,
-            lane_capacity: 16,
             ..ParSimOptions::default()
         },
     )

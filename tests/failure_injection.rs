@@ -450,7 +450,6 @@ fn fault_schedule_parity_single_owner_vs_sharded() {
         sim,
         ParSimOptions {
             producers: 2,
-            lane_capacity: 16,
             ..ParSimOptions::default()
         },
     )
@@ -528,7 +527,6 @@ fn fault_schedule_through_protocol_loop() {
         sim,
         ParSimOptions {
             producers: 1,
-            lane_capacity: 8,
             ..ParSimOptions::default()
         },
     )
